@@ -32,10 +32,6 @@ REP109    planner purity — no impure effect (clock, randomness, env, file
           IO, global mutation) may be *reachable* from a planner function
           through any resolved call chain; the interprocedural arm of the
           module-scoped REP103
-REP110    shared-memory lifecycle — every ``SharedMemory`` segment is bound
-          to a name and ``close()``d on all exit paths (``finally`` or an
-          except handler), a created segment is also ``unlink()``ed, and
-          handing the bare segment to another owner transfers the duty
 ========  ====================================================================
 
 REP108 and REP109 (and the caller-aware arm of REP101) are *project* rules:
@@ -993,202 +989,3 @@ class PlannerPurityRule(Rule):
                         "be pure functions of their inputs"
                     ),
                 )
-
-# ---------------------------------------------------------------------------
-# REP110 — shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-_SEGMENT_CLEANUP = frozenset({"close", "unlink"})
-
-
-@register
-class SharedMemoryLifecycleRule(Rule):
-    """Shared-memory segments are closed — and creations unlinked — on
-    every exit path, or handed whole to another owner."""
-
-    id = "REP110"
-    name = "shared-memory-lifecycle"
-    description = (
-        "every multiprocessing SharedMemory segment must be bound to a name "
-        "and close()d on all exit paths — in a 'finally' block or an except "
-        "handler — and a create=True segment must also be unlink()ed; "
-        "passing, returning or storing the bare segment hands the duty to "
-        "the new owner instead"
-    )
-
-    def check(
-        self, module: Module, project: Project, config: "AnalysisConfig"
-    ) -> Iterator[Finding]:
-        # Scope-local like REP102: a segment bound in one function never
-        # discharges (or pollutes) the obligations of another.
-        for scope in PicklableSubmitRule._scopes(module.tree):
-            yield from self._check_scope(module, scope.body)
-
-    def _check_scope(
-        self, module: Module, body: list[ast.stmt]
-    ) -> Iterator[Finding]:
-        segments = self._segment_bindings(body)
-        yield from self._unbound_segments(module, body, segments)
-        if not segments:
-            return
-        cleanup: dict[tuple[str, str], bool] = {}
-        escaped: set[str] = set()
-        self._scan(body, False, set(segments), cleanup, escaped)
-        for name, (line, created) in sorted(segments.items()):
-            if name in escaped:
-                continue  # ownership handed off whole; the new owner closes
-            if not cleanup.get((name, "close"), False):
-                sure = (name, "close") in cleanup
-                yield self.finding(
-                    module, line,
-                    f"shared-memory segment '{name}' is "
-                    + ("only close()d on the happy path" if sure else "never close()d")
-                    + " — call close() in a 'finally' block or an except "
-                    "handler so every exit path releases the mapping",
-                )
-            if created and (name, "unlink") not in cleanup:
-                yield self.finding(
-                    module, line,
-                    f"shared-memory segment '{name}' is created "
-                    "(create=True) but never unlink()ed — the creating owner "
-                    "must destroy the backing segment, not just its mapping",
-                )
-
-    # -- collection --------------------------------------------------------
-
-    @staticmethod
-    def _is_segment_call(node: ast.expr) -> bool:
-        return isinstance(node, ast.Call) and _func_name(node.func) == "SharedMemory"
-
-    @staticmethod
-    def _creates(call: ast.Call) -> bool:
-        return any(
-            keyword.arg == "create"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in call.keywords
-        )
-
-    def _segment_bindings(self, body: list[ast.stmt]) -> dict[str, tuple[int, bool]]:
-        """``name -> (line, created)`` for ``name = SharedMemory(...)``."""
-        segments: dict[str, tuple[int, bool]] = {}
-        for node in self._own_walk(body):
-            value: ast.expr | None = None
-            names: list[str] = []
-            if isinstance(node, ast.Assign):
-                value = node.value
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value = node.value
-                if isinstance(node.target, ast.Name):
-                    names = [node.target.id]
-            elif isinstance(node, ast.NamedExpr):
-                value = node.value
-                if isinstance(node.target, ast.Name):
-                    names = [node.target.id]
-            if value is not None and names and self._is_segment_call(value):
-                assert isinstance(value, ast.Call)
-                for name in names:
-                    segments[name] = (value.lineno, self._creates(value))
-        return segments
-
-    def _unbound_segments(
-        self,
-        module: Module,
-        body: list[ast.stmt],
-        segments: dict[str, tuple[int, bool]],
-    ) -> Iterator[Finding]:
-        bound_lines = {line for line, _ in segments.values()}
-        for node in self._own_walk(body):
-            if self._is_segment_call(node) and node.lineno not in bound_lines:
-                yield self.finding(
-                    module, node.lineno,
-                    "SharedMemory segment is never bound to a name, so no "
-                    "exit path can close() it; bind it and pair the binding "
-                    "with close() (and unlink() when created)",
-                )
-
-    @classmethod
-    def _own_walk(cls, body: list[ast.stmt]) -> Iterator[ast.AST]:
-        """Every node in this scope, nested function scopes excluded."""
-        for statement in body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield statement
-            yield from PicklableSubmitRule._own_nodes(statement)
-
-    # -- obligations -------------------------------------------------------
-
-    def _scan(
-        self,
-        statements: list[ast.stmt],
-        protected: bool,
-        names: set[str],
-        cleanup: dict[tuple[str, str], bool],
-        escaped: set[str],
-    ) -> None:
-        """Record cleanup calls (with whether they sit on a guaranteed-exit
-        block) and whole-segment ownership hand-offs."""
-        for statement in statements:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(statement, ast.Try):
-                self._scan(statement.body, protected, names, cleanup, escaped)
-                for handler in statement.handlers:
-                    self._scan(handler.body, True, names, cleanup, escaped)
-                self._scan(statement.orelse, protected, names, cleanup, escaped)
-                self._scan(statement.finalbody, True, names, cleanup, escaped)
-                continue
-            self._record(statement, protected, names, cleanup, escaped)
-            for field in ("body", "orelse"):
-                block = getattr(statement, field, None)
-                if isinstance(block, list):
-                    self._scan(block, protected, names, cleanup, escaped)
-
-    def _record(
-        self,
-        statement: ast.stmt,
-        protected: bool,
-        names: set[str],
-        cleanup: dict[tuple[str, str], bool],
-        escaped: set[str],
-    ) -> None:
-        for node in (statement, *PicklableSubmitRule._own_nodes(statement)):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _SEGMENT_CLEANUP
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in names
-                ):
-                    key = (func.value.id, func.attr)
-                    cleanup[key] = cleanup.get(key, False) or protected
-                else:
-                    escaped.update(
-                        argument.id
-                        for argument in node.args
-                        if isinstance(argument, ast.Name) and argument.id in names
-                    )
-            elif isinstance(node, (ast.Return, ast.Yield)) and node.value is not None:
-                escaped.update(self._bare_names(node.value) & names)
-            elif isinstance(node, ast.Assign):
-                if any(
-                    isinstance(target, (ast.Attribute, ast.Subscript))
-                    for target in node.targets
-                ):
-                    escaped.update(self._bare_names(node.value) & names)
-
-    @staticmethod
-    def _bare_names(expression: ast.expr) -> set[str]:
-        """The name itself, or names that are direct elements of a
-        tuple/list — a segment inside a larger expression stays owned here."""
-        if isinstance(expression, ast.Name):
-            return {expression.id}
-        if isinstance(expression, (ast.Tuple, ast.List)):
-            return {
-                element.id
-                for element in expression.elts
-                if isinstance(element, ast.Name)
-            }
-        return set()

@@ -264,30 +264,30 @@ CATALOG: tuple[Scenario, ...] = (
         params=(("query", "_* op0 _* op0 _*"),),
         suites=_CI,
     ),
-    # -- new coverage: compute-kernel A/B (PR 10) -------------------------------
-    # The same join-strategy evaluation of a wildcard-dense unsafe query on
-    # both kernels: the regime where relation algebra dominates, so the
-    # packed bitset rows (word-parallel compose/closure) must beat the
-    # per-element set path by a wide margin ('packed-kernel-5x' below).
+    # -- join kernel vs the G1 baseline ------------------------------------------
+    # The same wildcard-dense unsafe query, run, and lists answered by the
+    # executor's join strategy (packed bitset rows, word-parallel
+    # compose/closure, restriction pushdown) and by the G1 parse-tree-join
+    # baseline on sets: the regime where relation algebra dominates, so the
+    # engine must win by a wide margin ('join-beats-g1-5x' below).
     Scenario(
         id="kernel-packed-join",
         title="dense-wildcard join evaluation on the packed bitset kernel",
         grammar="dense-wildcard:250",
         query_class="unsafe-allpairs",
         run_edges=1200,
-        executor=ExecutorFactors(strategy="join", kernel="packed"),
+        executor=ExecutorFactors(strategy="join"),
         params=(("query", "_* op0 _*"),),
         seed=1,
         suites=_CI,
     ),
     Scenario(
-        id="kernel-sets-join",
-        title="the same join evaluation on the legacy set-based kernel",
+        id="g1-join-baseline",
+        title="the same workload answered by the G1 parse-tree-join baseline",
         grammar="dense-wildcard:250",
         query_class="unsafe-allpairs",
         run_edges=1200,
-        executor=ExecutorFactors(strategy="join", kernel="sets"),
-        params=(("query", "_* op0 _*"),),
+        params=(("query", "_* op0 _*"), ("evaluator", "g1")),
         seed=1,
         suites=_CI,
     ),
@@ -362,11 +362,11 @@ INVARIANTS: tuple[Invariant, ...] = (
         note="a warm shared cache must beat per-batch rebuilds",
     ),
     Invariant(
-        id="packed-kernel-5x",
+        id="join-beats-g1-5x",
         fast="kernel-packed-join",
-        slow="kernel-sets-join",
+        slow="g1-join-baseline",
         factor=5.0,
-        note="the uint64 bitset kernel must beat the set reference >= 5x on "
+        note="the packed join strategy must beat the G1 baseline >= 5x on "
         "the dense-wildcard join workload",
     ),
     # Deliberately inverted roles: the gate checks slow >= factor * fast, so
@@ -438,7 +438,6 @@ def check_catalog(
             ExecutorConfig(
                 direction=scenario.executor.direction,
                 workers=scenario.executor.workers,
-                kernel=scenario.executor.kernel,
             )
             if scenario.executor.strategy not in ("auto", "frontier", "join"):
                 raise ValueError(f"unknown strategy {scenario.executor.strategy!r}")

@@ -75,16 +75,13 @@ class ExecutorFactors:
     """The executor-configuration axis of the factor space.
 
     Mirrors the executor knobs: frontier ``direction``, parallel ``workers``
-    fan-out, unsafe-remainder ``strategy``, the compute ``kernel``
-    (``packed`` bitsets vs the legacy ``sets`` path), and whether a
-    persistent :class:`~repro.store.IndexStore` backs the service
-    (``store``).
+    fan-out, unsafe-remainder ``strategy``, and whether a persistent
+    :class:`~repro.store.IndexStore` backs the service (``store``).
     """
 
     direction: str = "auto"
     workers: int = 1
     strategy: str = "auto"
-    kernel: str = "auto"
     store: bool = False
 
     def as_dict(self) -> dict[str, object]:
@@ -92,7 +89,6 @@ class ExecutorFactors:
             "direction": self.direction,
             "workers": self.workers,
             "strategy": self.strategy,
-            "kernel": self.kernel,
             "store": self.store,
         }
 
@@ -341,9 +337,7 @@ def _executor_config(scenario: Scenario) -> "ExecutorConfig":
     from repro.core.exec import ExecutorConfig
 
     return ExecutorConfig(
-        direction=scenario.executor.direction,
-        workers=scenario.executor.workers,
-        kernel=scenario.executor.kernel,
+        direction=scenario.executor.direction, workers=scenario.executor.workers
     )
 
 
@@ -461,7 +455,10 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     node lists), ``"restricted"`` (a handful of each — the pushdown regime),
     or ``"few-targets"`` (every node as a source, the three largest-closure
     nodes as targets — the backward-direction regime).
+    ``params['evaluator'] = "g1"`` answers the same workload with the G1
+    parse-tree-join baseline instead of the engine.
     """
+    from repro.baselines.g1_parse_tree_joins import g1_all_pairs
     from repro.core.decomposition import evaluate_general_query, plan_decomposition
     from repro.core.relations import backward_closure_nodes
 
@@ -485,6 +482,9 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
         l1, l2 = sampled1[:5], sampled2[-5:]
     else:
         l1, l2 = _lists(run, scenario, scale)
+    detail = f"query {query!r}, |l1|={len(l1)}, |l2|={len(l2)}, {_edges(scenario, scale)} edges"
+    if scenario.param("evaluator") == "g1":
+        return _Prepared(lambda: g1_all_pairs(run, l1, l2, query), detail=f"G1 {detail}")
     executor = _executor_config(scenario)
     kwargs = {
         "plan": plan,
@@ -499,10 +499,7 @@ def _build_allpairs(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
     # Warm the plan's memoized (possibly reversed) macro DFAs so repetitions
     # time execution, not one-off planning.
     evaluate_general_query(run, query, l1[:1], l2[:1], **kwargs)
-    return _Prepared(
-        action,
-        detail=f"query {query!r}, |l1|={len(l1)}, |l2|={len(l2)}, {_edges(scenario, scale)} edges",
-    )
+    return _Prepared(action, detail=detail)
 
 
 def _build_kleene(scenario: Scenario, scale: ScenarioScale) -> _Prepared:
@@ -826,12 +823,7 @@ def run_table(document: Mapping[str, Any]) -> list[dict[str, object]]:
                     str(executor.get(key, "-"))
                     for key in ("strategy", "direction", "workers")
                 )
-                + ("+store" if executor.get("store") else "")
-                + (
-                    f"+{executor.get('kernel')}"
-                    if executor.get("kernel") not in (None, "auto")
-                    else ""
-                ),
+                + ("+store" if executor.get("store") else ""),
                 "reps": entry.get("repetitions", 0),
                 "median_ms": 1000 * entry.get("median_s", 0.0),
                 "p95_ms": 1000 * entry.get("p95_s", 0.0),

@@ -183,9 +183,7 @@ def _evaluate_query(
     l2 = args.targets.split(",") if args.targets else None
     from repro.core.exec import ExecutorConfig
 
-    executor = ExecutorConfig(
-        direction=args.direction, workers=args.workers, kernel=args.kernel
-    )
+    executor = ExecutorConfig(direction=args.direction, workers=args.workers)
     if args.stream:
         # Pairs go to stdout as the evaluator finds them (unsorted); the
         # count goes to stderr so piped output stays pure.
@@ -221,9 +219,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     l2 = args.targets.split(",") if args.targets else None
     from repro.core.exec import ExecutorConfig
 
-    executor = ExecutorConfig(
-        direction=args.direction, workers=args.workers, kernel=args.kernel
-    )
+    executor = ExecutorConfig(direction=args.direction, workers=args.workers)
     tracer = Tracer()
     with use_tracer(tracer):
         matches = engine.evaluate(run, args.query, l1, l2, executor=executor)
@@ -819,19 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query_parser.add_argument(
-        "--kernel",
-        choices=["auto", "packed", "sets"],
-        default="auto",
-        help=(
-            "relation/search compute kernel: packed runs joins, closures and "
-            "frontier searches on uint64-packed bitsets over dense-interned "
-            "node ids (process workers attach a shared-memory arena instead "
-            "of unpickling adjacency), sets keeps the legacy set-based path "
-            "for A/B and fallback; auto (default) honours REPRO_KERNEL and "
-            "otherwise picks packed"
-        ),
-    )
-    query_parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -878,12 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--workers", type=int, default=1, help="parallel frontier fan-out"
-    )
-    trace_parser.add_argument(
-        "--kernel",
-        choices=["auto", "packed", "sets"],
-        default="auto",
-        help="compute kernel (see 'repro query --kernel')",
     )
     trace_parser.add_argument(
         "--output",

@@ -17,7 +17,7 @@ the backward (reversed-DFA) frontier search and the parallel per-seed
 executor both live here.
 """
 
-from repro.core.exec.config import DIRECTIONS, KERNELS, ExecutorConfig, WorkerBudget
+from repro.core.exec.config import DIRECTIONS, ExecutorConfig, WorkerBudget
 from repro.core.exec.executor import execute, execute_iter
 from repro.core.exec.ops import (
     FrontierSearchOp,
@@ -34,7 +34,6 @@ __all__ = [
     "ExecutorConfig",
     "FrontierSearchOp",
     "JoinOp",
-    "KERNELS",
     "LabelDecodeOp",
     "MacroRelation",
     "PhysicalOp",

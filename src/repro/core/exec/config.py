@@ -17,13 +17,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["DIRECTIONS", "KERNELS", "ExecutorConfig", "WorkerBudget"]
+__all__ = ["DIRECTIONS", "ExecutorConfig", "WorkerBudget"]
 
 DIRECTIONS = ("auto", "forward", "backward")
 
 _BACKENDS = ("auto", "thread", "process")
-
-KERNELS = ("auto", "packed", "sets")
 
 
 class WorkerBudget:
@@ -81,21 +79,12 @@ class ExecutorConfig:
     parallelism for the pure-Python search; ``auto`` picks processes where
     ``fork`` is available).  ``budget``, when set by a service, caps the
     granted fan-out by what the shared pool has free.
-
-    ``kernel`` picks the relation/frontier compute representation:
-    ``packed`` runs joins, closures and frontier searches on the uint64
-    bitset kernel of :mod:`repro.core.bitset`; ``sets`` keeps the legacy
-    per-element set path selectable for A/B comparison and as an executable
-    reference; ``auto`` (the default) picks per operator — packed where the
-    word-parallel algebra wins (joins, closures), sets where sparse
-    traversal wins (per-seed frontier searches).
     """
 
     direction: str = "auto"
     workers: int = 1
     ordered: bool = False
     backend: str = "auto"
-    kernel: str = "auto"
     budget: WorkerBudget | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -106,10 +95,6 @@ class ExecutorConfig:
         if self.backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; use one of {list(_BACKENDS)}"
-            )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; use one of {list(KERNELS)}"
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -122,37 +107,3 @@ class ExecutorConfig:
         if sys.platform != "win32" and hasattr(os, "fork"):
             return "process"
         return "thread"
-
-    def resolved_kernel(self) -> str:
-        """The explicitly requested kernel, or ``"auto"``.
-
-        An explicit config choice wins; otherwise the ``REPRO_KERNEL``
-        environment variable (``packed`` | ``sets``) forces one path for a
-        whole test or CI arm without threading a flag through every call
-        site.  ``"auto"`` means :meth:`kernel_for` decides per operator.
-
-        The env read is the sanctioned kernel-override wrapper: it happens
-        at *execution* time and never feeds a cached plan artifact (plans
-        record the configured kernel, see ``PhysicalPlan.describe``), so
-        the line carries the REP109 ``effect-exempt`` directive.
-        """
-        if self.kernel != "auto":
-            return self.kernel
-        override = os.environ.get("REPRO_KERNEL", "")  # effect-exempt: env
-        if override in ("packed", "sets"):
-            return override
-        return "auto"
-
-    def kernel_for(self, operator: str) -> str:
-        """The kernel one physical operator class actually runs on.
-
-        ``auto`` picks by measured strength, not uniformly: ``"join"``-class
-        work (relation algebra, closures) runs packed — whole rows combine
-        word-parallel — while ``"frontier"``-class per-seed searches run on
-        sets, whose per-edge cost tracks a sparse run's real out-degree
-        instead of the packed row width.  Explicit choices force both.
-        """
-        resolved = self.resolved_kernel()
-        if resolved != "auto":
-            return resolved
-        return "packed" if operator == "join" else "sets"

@@ -29,7 +29,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from multiprocessing import shared_memory
 from pickle import PicklingError
 import multiprocessing
 import threading
@@ -38,8 +37,6 @@ from typing import Any, Callable, Iterator, Mapping
 
 from repro.automata.regex import RegexNode
 from repro.core.allpairs import all_pairs_iter, all_pairs_safe_query
-from repro.core.bitset import NodeInterner, PackedFrontier, RowPropagator
-from repro.core.exec.arena import create_arena, release_arena
 from repro.core.exec.ops import (
     FrontierSearchOp,
     JoinOp,
@@ -51,21 +48,12 @@ from repro.core.exec.worker import (
     ChunkPayload,
     ChunkRecord,
     ChunkResult,
-    PackedSearchContext,
     SearchContext,
-    init_packed_worker,
     init_worker,
     search_seeds,
-    search_seeds_packed,
-    timed_packed_chunk,
     timed_search_chunk,
 )
-from repro.core.relations import (
-    NodePairs,
-    evaluate_regex_relation,
-    evaluate_regex_relation_packed,
-    restrict,
-)
+from repro.core.relations import NodePairs, evaluate_regex_relation_packed, restrict
 from repro.obs import Span, SpanContext, Tracer, get_tracer
 
 __all__ = ["execute", "execute_iter"]
@@ -131,8 +119,8 @@ def execute_iter(plan: PhysicalPlan) -> Iterator[tuple[str, str]]:
 
 
 def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
-    """Bottom-up relational evaluation with routed safe subtrees answered by
-    the labeling engine over the ``allowed`` universe."""
+    """Bottom-up relational evaluation on the packed kernel, with routed safe
+    subtrees answered by the labeling engine over the ``allowed`` universe."""
     run, options, indexes = plan.run, plan.options, plan.indexes
     universe: list[str] | None = None
 
@@ -146,12 +134,8 @@ def _execute_join(plan: PhysicalPlan, op: JoinOp) -> NodePairs:
             )
         return all_pairs_safe_query(run, universe, universe, indexes(node), options)
 
-    kernel = plan.executor.kernel_for("join")
-    evaluate = (
-        evaluate_regex_relation_packed if kernel == "packed" else evaluate_regex_relation
-    )
-    with get_tracer().span("exec.join", routed=len(op.routed), kernel=kernel) as span:
-        result = evaluate(
+    with get_tracer().span("exec.join", routed=len(op.routed)) as span:
+        result = evaluate_regex_relation_packed(
             run, op.root, subquery_evaluator=subquery_evaluator, allowed=op.allowed
         )
         span.set("pairs", len(result))
@@ -243,47 +227,9 @@ def _lazy_macro_successors(
     } or None
 
 
-def _packed_search_parts(
-    plan: PhysicalPlan, op: FrontierSearchOp
-) -> tuple[PackedFrontier, NodeInterner, int | None]:
-    """Compile the op's search against the run's memoized packed view.
-
-    Macros stay lazy (a :meth:`MacroRelation.packed_propagator` decodes and
-    packs on the first frontier that crosses the macro edge), matching the
-    laziness of the set-based serial/thread paths.
-    """
-    view = plan.run.packed
-    interner = view.interner
-    graph = view.graph(op.direction)
-    allowed_mask = (
-        interner.full_mask if op.allowed is None else interner.mask_of(op.allowed)
-    )
-    macros: dict[str, RowPropagator] = {
-        tag: relation.packed_propagator(op.direction, interner)
-        for tag, relation in op.macros.items()
-    }
-    frontier = PackedFrontier(
-        graph.by_tag,
-        op.dfa,
-        allowed=allowed_mask,
-        macros=macros or None,
-        any_tag=graph.any_tag,
-    )
-    emit_mask = None if op.emit_filter is None else interner.mask_of(op.emit_filter)
-    return frontier, interner, emit_mask
-
-
 def _iter_frontier_serial(
     plan: PhysicalPlan, op: FrontierSearchOp
 ) -> Iterator[tuple[str, str]]:
-    if plan.executor.kernel_for("frontier") == "packed":
-        frontier, interner, emit_mask = _packed_search_parts(plan, op)
-        forward = op.direction == "forward"
-        for seed in op.seeds:
-            yield from search_seeds_packed(
-                frontier, interner, (seed,), emit_mask=emit_mask, forward=forward
-            )
-        return
     adjacency = _graph_adjacency(plan, op)
     macro_successors = _lazy_macro_successors(op)
     for seed in op.seeds:
@@ -314,76 +260,6 @@ def _mp_context() -> Any:
     return multiprocessing.get_context("forkserver") if "forkserver" in methods else None
 
 
-def _arena_tables(plan: PhysicalPlan, op: FrontierSearchOp) -> dict[str, list[int]]:
-    """The packed row tables one frontier execution ships to its workers.
-
-    Only tags the DFA can actually follow (some transition leaves the dead
-    state) are packed — the arena carries the live alphabet, not the whole
-    run — plus the macro rows and the ``allowed``/emit masks as one-row
-    tables.
-    """
-    view = plan.run.packed
-    interner = view.interner
-    graph = view.graph(op.direction)
-    dead = op.dfa.dead_state()
-    live_tags = {
-        tag
-        for row in op.dfa.transitions
-        for tag, next_state in row.items()
-        if next_state != dead
-    }
-    tables: dict[str, list[int]] = {}
-    shipped = 0
-    for tag in live_tags:
-        adjacency = graph.by_tag.get(tag)
-        if adjacency is not None:
-            tables[f"tag:{tag}"] = adjacency.rows
-            shipped += 1
-    if shipped == len(graph.by_tag):
-        # Every run tag is live, so the memoized any-tag matrix is a valid
-        # merge target for full-alphabet move buckets (wildcard self-loops);
-        # ship it so workers skip re-merging those rows.
-        tables["any"] = graph.any_tag.rows
-    for tag, relation in op.macros.items():
-        if tag in live_tags:
-            tables[f"macro:{tag}"] = relation.packed_adjacency(op.direction, interner).rows
-    if op.allowed is not None:
-        tables["allowed"] = [interner.mask_of(op.allowed)]
-    if op.emit_filter is not None:
-        tables["emit"] = [interner.mask_of(op.emit_filter)]
-    return tables
-
-
-def _identity_chunk(chunk: tuple[str, ...]) -> tuple[Any, ...]:
-    return chunk
-
-
-def _identity_pairs(pairs: list[Any]) -> list[tuple[str, str]]:
-    return pairs
-
-
-def _interned_codecs(
-    interner: NodeInterner,
-) -> tuple[Callable[[tuple[str, ...]], tuple[Any, ...]], Callable[[list[Any]], list[tuple[str, str]]]]:
-    """Seed/pair codecs for the packed process protocol: node-id strings
-    stay on the parent side of the pool boundary."""
-
-    def encode(chunk: tuple[str, ...]) -> tuple[Any, ...]:
-        bits = []
-        for seed in chunk:
-            bit = interner.bit_of(seed)
-            if bit is not None:  # unknown seeds search nothing on any path
-                bits.append(bit)
-        return tuple(bits)
-
-    ids = interner.ids
-
-    def decode(pairs: list[Any]) -> list[tuple[str, str]]:
-        return [(ids[source], ids[target]) for source, target in pairs]
-
-    return encode, decode
-
-
 def _local_chunk_task(
     plan: PhysicalPlan, op: FrontierSearchOp
 ) -> Callable[[ChunkPayload], ChunkResult]:
@@ -395,25 +271,10 @@ def _local_chunk_task(
     there is nothing to stitch on merge.
     """
     forward = op.direction == "forward"
-    if plan.executor.kernel_for("frontier") == "packed":
-        frontier, interner, emit_mask = _packed_search_parts(plan, op)
-
-        def task(payload: ChunkPayload) -> ChunkResult:
-            seeds, parent = payload
-            tracer = get_tracer()
-            with tracer.attach(SpanContext.from_tuple(parent)):
-                with tracer.span("exec.frontier_chunk", seeds=len(seeds)) as span:
-                    pairs = search_seeds_packed(
-                        frontier, interner, seeds, emit_mask=emit_mask, forward=forward
-                    )
-                    span.set("pairs", len(pairs))
-            return pairs, None
-
-        return task
     adjacency = _graph_adjacency(plan, op)
     macro_successors = _lazy_macro_successors(op)
 
-    def sets_task(payload: ChunkPayload) -> ChunkResult:
+    def task(payload: ChunkPayload) -> ChunkResult:
         seeds, parent = payload
         tracer = get_tracer()
         with tracer.attach(SpanContext.from_tuple(parent)):
@@ -430,20 +291,16 @@ def _local_chunk_task(
                 span.set("pairs", len(pairs))
         return pairs, None
 
-    return sets_task
+    return task
 
 
 #: What ``_worker_pool`` hands the parallel merge: the pool, the picklable
-#: chunk task, the seed/pair codecs bridging node ids to the task's wire
-#: representation (identity for everything but the packed process protocol),
-#: and the in-process task the drain loop recomputes chunks with when the
-#: pool breaks mid-flight.
+#: chunk task, and the in-process task the drain loop recomputes chunks with
+#: when the pool breaks mid-flight.
 _PoolParts = tuple[
     Executor,
-    Callable[[Any], tuple[list[Any], "ChunkRecord | None"]],
-    Callable[[tuple[str, ...]], tuple[Any, ...]],
-    Callable[[list[Any]], list[tuple[str, str]]],
-    Callable[["ChunkPayload"], "ChunkResult"],
+    Callable[[ChunkPayload], ChunkResult],
+    Callable[[ChunkPayload], ChunkResult],
 ]
 
 
@@ -451,75 +308,37 @@ _PoolParts = tuple[
 def _worker_pool(
     plan: PhysicalPlan, op: FrontierSearchOp, granted: int
 ) -> Iterator[_PoolParts]:
-    """A ready-to-submit pool plus its chunk task, codecs and local fallback.
+    """A ready-to-submit pool plus its chunk task and local fallback.
 
-    With the packed kernel, process workers receive only a tiny
-    :class:`PackedSearchContext` — the DFA plus the arena layout header —
-    and attach the shared-memory segment holding the packed row tables by
-    name (created here, closed and unlinked here after pool shutdown: the
-    executor is the arena's lifecycle owner).  With the legacy sets kernel
-    they get a plain-data :class:`SearchContext` pickled through the
-    initializer.
+    Process workers get a plain-data :class:`SearchContext` pickled through
+    the initializer.
 
     Nothing here waits for a worker to spawn: chunks are submitted straight
     away and overlap with pool startup, so the ``exec.worker_setup`` span
-    measures exactly the parent-side fan-out cost — context build, arena
-    packing, pool construction.  Process-side failures (no ``fork``, missing
-    ``/dev/shm``, a worker that cannot re-import or unpickle the context)
-    either raise during construction — degraded to a thread pool here — or
-    surface as broken-pool errors on the chunk futures, which the drain loop
-    absorbs by recomputing chunks with the returned local task.
+    measures exactly the parent-side fan-out cost — context build and pool
+    construction.  Process-side failures (no ``fork``, a worker that cannot
+    re-import or unpickle the context) either raise during construction —
+    degraded to a thread pool here — or surface as broken-pool errors on the
+    chunk futures, which the drain loop absorbs by recomputing chunks with
+    the returned local task.
 
     Macro relations are materialized here, in the parent, exactly once for
     process pools: a deliberate trade — workers cannot label-decode, so the
     process backend pays the decode up front even when no live product state
     would ever cross the macro edge (serial and thread execution stay lazy;
     prefer ``backend="thread"`` for macro-heavy queries whose edges are
-    rarely reached).  Thread pools share the run, the memoized packed view
-    and the lazily decoded macro relations directly — no copies, the first
-    chunk that crosses a macro edge decodes it for everyone.
+    rarely reached).  Thread pools share the run and the lazily decoded
+    macro relations directly — no copies, the first chunk that crosses a
+    macro edge decodes it for everyone.
     """
     backend = plan.executor.resolved_backend()
-    kernel = plan.executor.kernel_for("frontier")
     pool: Executor | None = None
-    task: Callable[[Any], tuple[list[Any], "ChunkRecord | None"]] | None = None
-    encode = _identity_chunk
-    decode = _identity_pairs
-    segment: shared_memory.SharedMemory | None = None
-    with get_tracer().span(
-        "exec.worker_setup", backend=backend, kernel=kernel, workers=granted
-    ):
+    with get_tracer().span("exec.worker_setup", backend=backend, workers=granted):
         local = _local_chunk_task(plan, op)
-        if backend == "process" and kernel == "packed":
+        task = local
+        if backend == "process":
             try:
-                interner = plan.run.packed.interner
-                layout, segment = create_arena(_arena_tables(plan, op), len(interner))
-                context = PackedSearchContext(
-                    layout=layout, dfa=op.dfa, forward=op.direction == "forward"
-                )
-                pool = ProcessPoolExecutor(
-                    max_workers=granted,
-                    initializer=init_packed_worker,
-                    initargs=(context,),
-                    mp_context=_mp_context(),
-                )
-                task = timed_packed_chunk
-                encode, decode = _interned_codecs(interner)
-            except (OSError, RuntimeError, PicklingError):
-                # Everything pool construction actually raises when process
-                # pools are unusable: spawn failures (OSError), a missing
-                # start method (RuntimeError), unpicklable init arguments.
-                # The arena must not outlive the failed attempt.
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-                encode, decode = _identity_chunk, _identity_pairs
-                if segment is not None:
-                    release_arena(segment)
-                    segment = None
-        elif backend == "process":
-            try:
-                sets_context = SearchContext(
+                context = SearchContext(
                     direction=op.direction,
                     adjacency=dict(_graph_adjacency(plan, op)),
                     dfa=op.dfa,
@@ -533,11 +352,14 @@ def _worker_pool(
                 pool = ProcessPoolExecutor(
                     max_workers=granted,
                     initializer=init_worker,
-                    initargs=(sets_context,),
+                    initargs=(context,),
                     mp_context=_mp_context(),
                 )
                 task = timed_search_chunk
             except (OSError, RuntimeError, PicklingError):
+                # Everything pool construction actually raises when process
+                # pools are unusable: spawn failures (OSError), a missing
+                # start method (RuntimeError), unpicklable init arguments.
                 if pool is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
                 pool = None
@@ -545,14 +367,9 @@ def _worker_pool(
             pool = ThreadPoolExecutor(max_workers=granted)
             task = local
     try:
-        yield pool, task, encode, decode, local
+        yield pool, task, local
     finally:
         pool.shutdown(wait=True)
-        if segment is not None:
-            # The executor owns the arena: workers attached and closed their
-            # mappings during init, so after shutdown the segment has no
-            # readers left and close + unlink here retires it.
-            release_arena(segment)
 
 
 def _stitch_chunk(tracer: Tracer, search: Span, record: ChunkRecord) -> None:
@@ -584,8 +401,8 @@ def _iter_frontier_parallel(
     tracer = get_tracer()
     parent = span.context.as_tuple() if tracer.enabled else None
     chunks = _chunked(op.seeds, granted * 4)
-    with _worker_pool(plan, op, granted) as (pool, task, encode, decode, local):
-        futures = [pool.submit(task, (encode(chunk), parent)) for chunk in chunks]
+    with _worker_pool(plan, op, granted) as (pool, task, local):
+        futures = [pool.submit(task, (chunk, parent)) for chunk in chunks]
         chunk_of = {future: chunk for future, chunk in zip(futures, chunks)}
         if release is not None:
             # Completion-driven, not consumption-driven: the budget frees as
@@ -611,15 +428,12 @@ def _iter_frontier_parallel(
                 except (OSError, RuntimeError, PicklingError):
                     # A worker died spawning or unpickling (BrokenProcessPool
                     # is a RuntimeError): the pool is gone, but the chunk is
-                    # not — recompute it in-process.  Local pairs are already
-                    # node ids, so they bypass the pool decode below.
+                    # not — recompute it in-process.
                     span.set("fallback", "local")
                     pairs, record = local((chunk_of[future], parent))
-                    yield from pairs
-                    continue
                 if record is not None and tracer.enabled:
                     _stitch_chunk(tracer, span, record)
-                yield from decode(pairs)
+                yield from pairs
         finally:
             for future in futures:
                 future.cancel()

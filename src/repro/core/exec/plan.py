@@ -73,9 +73,7 @@ class PhysicalPlan:
     direction: str
 
     def describe(self) -> str:
-        # The *configured* kernel, deliberately: resolving "auto" reads the
-        # environment, and this module stays deterministic (REP103/REP109).
-        parts = f"strategy={self.strategy}, kernel={self.executor.kernel}"
+        parts = f"strategy={self.strategy}"
         if self.strategy == "frontier":
             parts += f", direction={self.direction}, workers={self.executor.workers}"
         return f"PhysicalPlan({parts}) over run of {self.run.node_count} nodes"

@@ -1,17 +1,9 @@
 """Process-pool worker side of the parallel frontier executor.
 
-Two worker protocols share this module:
-
-* the legacy **sets** protocol ships one :class:`SearchContext` — plain,
-  picklable data: the run's adjacency view for the chosen direction, the
-  direction-adjusted DFA, the pruning universe, the emit filter and the
-  *materialized* macro adjacencies — through the pool initializer;
-* the **packed** protocol ships only a :class:`PackedSearchContext` — the
-  DFA plus a tiny :class:`~repro.core.exec.arena.ArenaLayout` header — and
-  each worker attaches the shared-memory arena by name, parses the packed
-  row tables straight out of the mapped segment exactly once, and answers
-  chunks of interned seed bits with interned pairs (node-id strings never
-  cross the pool boundary).
+Each worker receives one :class:`SearchContext` — plain, picklable data: the
+run's adjacency view for the chosen direction, the direction-adjusted DFA,
+the pruning universe, the emit filter and the *materialized* macro
+adjacencies — through the pool initializer.
 
 Keeping the context in a module global means it is shipped once per worker,
 not once per task.
@@ -23,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.automata.dfa import DFA
-from repro.core.bitset import NodeInterner, PackedAdjacency, PackedFrontier, bit_indices
-from repro.core.exec.arena import ArenaLayout, attach_tables
 from repro.core.relations import frontier_search
 from repro.obs import clock
 
@@ -32,18 +22,11 @@ __all__ = [
     "ChunkPayload",
     "ChunkRecord",
     "ChunkResult",
-    "PackedChunkPayload",
-    "PackedChunkResult",
-    "PackedSearchContext",
     "SearchContext",
-    "init_packed_worker",
     "init_worker",
-    "packed_search_chunk",
     "run_chunk",
     "search_chunk",
     "search_seeds",
-    "search_seeds_packed",
-    "timed_packed_chunk",
     "timed_search_chunk",
 ]
 
@@ -155,128 +138,3 @@ def timed_search_chunk(payload: ChunkPayload) -> ChunkResult:
     started = clock.now()
     pairs = search_chunk(seeds)
     return pairs, (parent, started, clock.now(), len(seeds), len(pairs))
-
-
-# ---------------------------------------------------------------------------
-# Packed-kernel protocol
-# ---------------------------------------------------------------------------
-
-#: A packed chunk carries interned seed bit indices instead of node ids.
-PackedChunkPayload = tuple[tuple[int, ...], "ContextTuple | None"]
-
-#: Packed workers return interned pairs; the submitting side maps them back
-#: through the run's interner.
-PackedChunkResult = tuple[list[tuple[int, int]], "ChunkRecord | None"]
-
-
-@dataclass(frozen=True)
-class PackedSearchContext:
-    """The packed pool initializer payload: everything *small*.
-
-    The row tables themselves stay out of the pickle stream — ``layout``
-    names the shared-memory arena segment that holds them (see
-    :mod:`repro.core.exec.arena`); each worker attaches and parses it once.
-    """
-
-    layout: ArenaLayout
-    dfa: DFA
-    forward: bool
-
-
-class _PackedWorkerState:
-    """The compiled search a packed worker answers chunks with."""
-
-    __slots__ = ("frontier", "emit_mask", "forward")
-
-    def __init__(self, frontier: PackedFrontier, emit_mask: int | None, forward: bool) -> None:
-        self.frontier = frontier
-        self.emit_mask = emit_mask
-        self.forward = forward
-
-
-_PACKED: _PackedWorkerState | None = None
-
-
-def init_packed_worker(context: PackedSearchContext) -> None:
-    """Attach the arena, compile the frontier search, drop the mapping."""
-    global _PACKED
-    tables = attach_tables(context.layout)
-    node_count = context.layout.node_count
-    by_tag: dict[str, PackedAdjacency] = {}
-    macros: dict[str, PackedAdjacency] = {}
-    any_tag: PackedAdjacency | None = None
-    allowed = (1 << node_count) - 1
-    emit_mask: int | None = None
-    for key, rows in tables.items():
-        if key.startswith("tag:"):
-            by_tag[key[4:]] = PackedAdjacency(node_count, rows)
-        elif key.startswith("macro:"):
-            macros[key[6:]] = PackedAdjacency(node_count, rows)
-        elif key == "any":
-            any_tag = PackedAdjacency(node_count, rows)
-        elif key == "allowed":
-            allowed = rows[0]
-        elif key == "emit":
-            emit_mask = rows[0]
-    frontier = PackedFrontier(
-        by_tag, context.dfa, allowed=allowed, macros=macros or None, any_tag=any_tag
-    )
-    _PACKED = _PackedWorkerState(frontier, emit_mask, context.forward)
-
-
-def search_seeds_packed(
-    frontier: PackedFrontier,
-    interner: NodeInterner,
-    seeds: Iterable[str],
-    *,
-    emit_mask: int | None,
-    forward: bool,
-) -> list[tuple[str, str]]:
-    """The packed twin of :func:`search_seeds` for in-process execution.
-
-    Same emit/orientation semantics, interned representation: seeds map to
-    bit indices (ids not in the run search nothing, like the set path), hit
-    masks intersect the emit mask word-parallel, and pairs unpack through
-    the interner only at the yield boundary.
-    """
-    pairs: list[tuple[str, str]] = []
-    for seed in seeds:
-        bit = interner.bit_of(seed)
-        if bit is None:
-            continue
-        hits = frontier.search(bit)
-        if emit_mask is not None:
-            hits &= emit_mask
-        if not hits:
-            continue
-        if forward:
-            pairs.extend((seed, hit) for hit in interner.nodes_of(hits))
-        else:
-            pairs.extend((hit, seed) for hit in interner.nodes_of(hits))
-    return pairs
-
-
-def packed_search_chunk(seed_bits: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Packed pool entry point: interned seeds in, interned pairs out."""
-    assert _PACKED is not None, "worker used before init_packed_worker ran"
-    state = _PACKED
-    pairs: list[tuple[int, int]] = []
-    for bit in seed_bits:
-        hits = state.frontier.search(bit)
-        if state.emit_mask is not None:
-            hits &= state.emit_mask
-        if not hits:
-            continue
-        if state.forward:
-            pairs.extend((bit, hit) for hit in bit_indices(hits))
-        else:
-            pairs.extend((hit, bit) for hit in bit_indices(hits))
-    return pairs
-
-
-def timed_packed_chunk(payload: PackedChunkPayload) -> PackedChunkResult:
-    """Traced packed pool entry point (see :func:`timed_search_chunk`)."""
-    seed_bits, parent = payload
-    started = clock.now()
-    pairs = packed_search_chunk(seed_bits)
-    return pairs, (parent, started, clock.now(), len(seed_bits), len(pairs))

@@ -15,13 +15,15 @@ adjacency dictionaries built on the fly for joins; the transitive closure
 uses semi-naive iteration.  Following the library-wide convention, the empty
 path is admitted: ``ε`` and ``e*`` relate every node of the run to itself.
 
-This set-based path remains selectable (``ExecutorConfig.kernel = "sets"``)
-as the executable reference semantics; the production default is
+The set-based :func:`evaluate_regex_relation` is the G1 baseline and the
+executable reference semantics; the executor's joins run
 :func:`evaluate_regex_relation_packed`, the same bottom-up evaluation over
 the uint64-packed kernel of :mod:`repro.core.bitset`.  The packed path reads
 the run's adjacency from the memoized ``run.packed`` view — built once per
 run and reused across queries — instead of re-deriving per-tag edge sets on
 every call, and the closure helpers below ride the same packed view.
+Per-seed frontier searches (:func:`frontier_search`) stay on sets: their
+cost tracks a sparse run's out-degree, where the packed row width loses.
 
 Two restriction-pushdown primitives let callers keep intermediate relations
 proportional to the *requested* node lists instead of the whole run:
@@ -173,7 +175,7 @@ def forward_closure_nodes(run: Run, seeds: Iterable[str]) -> frozenset[str]:
     level over the run's any-tag rows instead of a per-edge set walk.
     """
     view = run.packed
-    reach = closure_mask(view.forward.any_tag, view.interner.mask_of(seeds))
+    reach = closure_mask(view.forward_any, view.interner.mask_of(seeds))
     return frozenset(view.interner.nodes_of(reach))
 
 
@@ -181,7 +183,7 @@ def backward_closure_nodes(run: Run, seeds: Iterable[str]) -> frozenset[str]:
     """All nodes that reach any seed, including the seeds themselves
     (seed ids not present in the run are silently dropped)."""
     view = run.packed
-    reach = closure_mask(view.backward.any_tag, view.interner.mask_of(seeds))
+    reach = closure_mask(view.backward_any, view.interner.mask_of(seeds))
     return frozenset(view.interner.nodes_of(reach))
 
 
@@ -388,12 +390,12 @@ def _evaluate_packed(
     if isinstance(node, Epsilon):
         return PackedRelation.identity(node_count, universe_mask)
     if isinstance(node, Symbol):
-        adjacency = view.forward.by_tag.get(node.tag)
+        adjacency = view.by_tag.get(node.tag)
         if adjacency is None:
             return PackedRelation.empty(node_count)
         return PackedRelation.from_adjacency(adjacency, allowed_mask)
     if isinstance(node, AnySymbol):
-        return PackedRelation.from_adjacency(view.forward.any_tag, allowed_mask)
+        return PackedRelation.from_adjacency(view.forward_any, allowed_mask)
     if isinstance(node, Concat):
         relation: PackedRelation | None = None
         for part in node.parts:

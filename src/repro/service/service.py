@@ -209,8 +209,8 @@ class QueryService:
                 )
             self._runs[run_id] = run
         # Build the packed interning table once at registration, outside the
-        # lock: every packed-kernel join/closure and every arena pack reuses
-        # this memo, so the first query never pays the interning cost.
+        # lock: every packed-kernel join/closure reuses this memo, so the
+        # first query never pays the interning cost.
         _ = run.packed
         if persist and self._store is not None:
             self._store.save_run(run_id, run)

@@ -72,8 +72,11 @@ __all__ = ["FORMAT_VERSION", "EntryInfo", "GcResult", "IndexStore", "StoreCounte
 #: Format 2 packs boolean matrices as base64 row bytes (~3x smaller entries),
 #: adds the reversed macro DFAs + direction decisions to plan payloads, and
 #: stamps run artifacts with their specification fingerprint (orphan gc).
-#: Format-1 artifacts fail the version check and degrade to a clean rebuild.
-FORMAT_VERSION = 2
+#: Format 3 marks artifacts built after recursion cycles got a canonical
+#: (hash-seed independent) numbering; labeled runs persisted under the old
+#: numbering could decode against the wrong cycle.  Artifacts of any other
+#: format fail the version check and degrade to a clean rebuild.
+FORMAT_VERSION = 3
 
 _ENTRY_KIND = "store-entry"
 _RUN_KIND = "store-run"

@@ -68,8 +68,13 @@ class ProductionGraph:
 
     def __init__(self, spec: "Specification") -> None:
         self._spec = spec
-        # edges[module] = list of (target module, production index, position)
-        edges: dict[str, list[tuple[str, int, int]]] = {m: [] for m in spec.modules}
+        # edges[module] = list of (target module, production index, position).
+        # Modules are inserted in sorted order: Tarjan's roots, and with them
+        # the ``Cycle.index`` numbering that labels refer to, follow this
+        # order, so it must not depend on set iteration (hash seed).
+        edges: dict[str, list[tuple[str, int, int]]] = {
+            m: [] for m in sorted(spec.modules)
+        }
         for production_index, production in enumerate(spec.productions):
             for position, module in enumerate(production.body.nodes):
                 edges[production.head].append((module, production_index, position))

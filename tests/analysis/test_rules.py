@@ -240,20 +240,6 @@ class TestEffectExemptDirective:
         assert "mislabeled_now" in messages  # directive naming another effect
 
 
-class TestSharedMemoryLifecycle:
-    def test_bad_fixture_flags_each_leak(self):
-        findings = lint("REP110", "rep110_bad.py")
-        messages = " | ".join(finding.message for finding in findings)
-        assert len(findings) == 4
-        assert "never unlink()ed" in messages
-        assert "only close()d on the happy path" in messages
-        assert "never close()d" in messages
-        assert "never bound to a name" in messages
-
-    def test_good_fixture_allows_guards_and_handoffs(self):
-        assert lint("REP110", "rep110_good.py") == []
-
-
 class TestRepositoryIsClean:
     """The tree itself must hold the invariants the rules encode."""
 
@@ -269,7 +255,6 @@ class TestRepositoryIsClean:
             "REP107",
             "REP108",
             "REP109",
-            "REP110",
         ],
     )
     def test_src_repro_has_no_findings(self, rule_id):

@@ -2,13 +2,12 @@
 
 Every word-parallel operation the packed data path performs — tag/all-edge
 relations, join composition, the semi-naive closure, restriction universes,
-the product frontier search (with and without macro transitions), and the
-fixed-width row serialization shared with store format 2 and the worker
-arena — must return exactly what the per-element set machinery returns, on
-Hypothesis-generated runs, queries, masks and node lists (including empty
-and disjoint ones).  A parametrized end-to-end test additionally holds the
-two kernels together through the executor under the thread *and* process
-backends.
+whole-regex evaluation, and the fixed-width row serialization — must return
+exactly what the per-element set machinery returns, on Hypothesis-generated
+runs, queries, masks and node lists (including empty and disjoint ones).
+End-to-end tests additionally hold the executor (packed joins, set-based
+frontier searches under the thread *and* process backends) to the set
+reference.
 """
 
 import pytest
@@ -16,21 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.boolean_matrix import BooleanMatrix
-from repro.automata.dfa import dfa_from_regex
 from repro.automata.regex import parse_regex
 from repro.core.bitset import (
-    PackedAdjacency,
-    PackedFrontier,
     PackedRelation,
     bit_indices,
     closure_mask,
     row_byte_width,
-    rows_from_bytes,
     rows_to_bytes,
 )
 from repro.core.exec import ExecutorConfig, build_physical_plan, execute
-from repro.core.exec.arena import attach_tables, create_arena, release_arena
-from repro.core.intersection import intersect_run
 from repro.core.query_index import build_query_index
 from repro.core.decomposition import plan_decomposition
 from repro.core.relations import (
@@ -39,7 +32,6 @@ from repro.core.relations import (
     evaluate_regex_relation,
     evaluate_regex_relation_packed,
     forward_closure_nodes,
-    frontier_search,
     restrict,
     restriction_universe,
     tag_relation,
@@ -47,7 +39,6 @@ from repro.core.relations import (
 )
 from repro.datasets.paper_example import paper_specification
 from repro.datasets.synthetic import generate_synthetic_specification
-from repro.obs.metrics import get_registry
 from repro.workflow.derivation import derive_run
 
 _SPECS = {
@@ -116,7 +107,7 @@ def _mask_of(run, node_list):
 
 
 # ---------------------------------------------------------------------------
-# Row serialization: the layout shared with store format 2 and the arena
+# Row serialization: fixed-width little-endian uint64 words
 # ---------------------------------------------------------------------------
 
 
@@ -133,8 +124,12 @@ class TestRowSerialization:
     def test_rows_round_trip_through_word_layout(self, data):
         bits, rows = data
         buffer = rows_to_bytes(rows, bits)
-        assert len(buffer) == row_byte_width(bits) * len(rows)
-        assert rows_from_bytes(buffer, bits, len(rows)) == rows
+        width = row_byte_width(bits)
+        assert len(buffer) == width * len(rows)
+        assert [
+            int.from_bytes(buffer[index * width : (index + 1) * width], "little")
+            for index in range(len(rows))
+        ] == rows
 
     @given(st.integers(0, 130))
     @settings(**_SETTINGS)
@@ -163,14 +158,6 @@ class TestRowSerialization:
         matrix = BooleanMatrix(size, rows)
         assert BooleanMatrix.from_packed(size, matrix.to_packed()) == matrix
 
-    @given(st.integers(1, 60), st.integers(0, 5))
-    @settings(**_SETTINGS)
-    def test_adjacency_round_trips_through_bytes(self, size, seed):
-        edges = [((seed + i * 7) % size, (i * 13) % size) for i in range(size)]
-        adjacency = PackedAdjacency.from_edges(size, edges)
-        rebuilt = PackedAdjacency.from_bytes(adjacency.to_bytes(), size)
-        assert rebuilt.rows == adjacency.rows
-
 
 # ---------------------------------------------------------------------------
 # Relation algebra: packed rows vs per-element sets
@@ -185,9 +172,9 @@ class TestRelationAlgebra:
         view = run.packed
         allowed = None if l1 is None else frozenset(l1)
         allowed_mask = _mask_of(run, l1)
-        packed_any = PackedRelation.from_adjacency(view.forward.any_tag, allowed_mask)
+        packed_any = PackedRelation.from_adjacency(view.forward_any, allowed_mask)
         assert packed_any.to_pairs(view.interner) == all_edge_relation(run, allowed)
-        for tag, adjacency in view.forward.by_tag.items():
+        for tag, adjacency in view.by_tag.items():
             packed = PackedRelation.from_adjacency(adjacency, allowed_mask)
             assert packed.to_pairs(view.interner) == tag_relation(run, tag, allowed)
 
@@ -248,15 +235,15 @@ class TestRelationAlgebra:
         run, l1, _ = data
         seeds = list(run.node_ids())[:3] if l1 is None else l1
         view = run.packed
-        mask = closure_mask(view.forward.any_tag, view.interner.mask_of(seeds))
-        in_run = [seed for seed in seeds if view.interner.bit_of(seed) is not None]
+        mask = closure_mask(view.forward_any, view.interner.mask_of(seeds))
+        in_run = [seed for seed in seeds if seed in view.interner.index]
         assert frozenset(view.interner.nodes_of(mask)) == forward_closure_nodes(
             run, in_run
         )
 
     @given(run_query_lists())
     @settings(**_SETTINGS)
-    def test_regex_evaluation_matches_on_both_kernels(self, data):
+    def test_regex_evaluation_matches_set_reference(self, data):
         run, query, l1, _ = data
         node = parse_regex(query)
         allowed = None if l1 is None else frozenset(l1)
@@ -266,155 +253,13 @@ class TestRelationAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# The product frontier search, with and without macro transitions
+# End to end: packed joins, set-based frontiers, both pool backends
 # ---------------------------------------------------------------------------
 
 
-class TestPackedFrontier:
-    @given(run_query_lists())
-    @settings(**_SETTINGS)
-    def test_frontier_search_matches_set_reference(self, data):
-        run, query, l1, seeds = data
-        dfa = dfa_from_regex(query, run.tags())
-        view = run.packed
-        allowed = None if l1 is None else frozenset(l1)
-        allowed_mask = (
-            view.interner.full_mask if l1 is None else view.interner.mask_of(l1)
-        )
-        frontier = PackedFrontier(
-            view.forward.by_tag,
-            dfa,
-            allowed=allowed_mask,
-            any_tag=view.forward.any_tag,
-        )
-        for seed in list(run.node_ids())[:5] if seeds is None else seeds:
-            expected = frontier_search(run.successors, dfa, seed, allowed=allowed)
-            bit = view.interner.bit_of(seed)
-            reached = set() if bit is None else set(
-                view.interner.nodes_of(frontier.search(bit))
-            )
-            assert reached == expected
-
-    @given(run_query_lists())
-    @settings(**_SETTINGS)
-    def test_frontier_search_matches_with_macro_transitions(self, data):
-        """One run tag is rerouted through a macro relation: the set search
-        expands it via ``macro_successors`` while the packed search gets a
-        propagator — both must reach the same accepted nodes."""
-        run, query, _, _ = data
-        macro_tag = sorted(run.tags())[-1]
-        dfa = dfa_from_regex(query, run.tags())
-        view = run.packed
-        macro_pairs = tag_relation(run, macro_tag)
-        expand = {}
-        for source, target in macro_pairs:
-            expand.setdefault(source, []).append(target)
-        adjacency = {
-            node: [(t, tag) for t, tag in run.successors[node] if tag != macro_tag]
-            for node in run.node_ids()
-        }
-        by_tag = {
-            tag: matrix
-            for tag, matrix in view.forward.by_tag.items()
-            if tag != macro_tag
-        }
-        macro_matrix = PackedAdjacency.from_edges(
-            len(view.interner),
-            (
-                (view.interner.index[source], view.interner.index[target])
-                for source, target in macro_pairs
-            ),
-        )
-        frontier = PackedFrontier(
-            by_tag,
-            dfa,
-            allowed=view.interner.full_mask,
-            macros={macro_tag: macro_matrix},
-        )
-        for seed in list(run.node_ids())[:5]:
-            expected = frontier_search(
-                adjacency,
-                dfa,
-                seed,
-                macro_successors={macro_tag: lambda n: expand.get(n, ())},
-            )
-            reached = set(
-                view.interner.nodes_of(frontier.search(view.interner.index[seed]))
-            )
-            assert reached == expected
-
-    @given(run_and_lists())
-    @settings(**_SETTINGS)
-    def test_fine_grained_run_packed_twin_matches(self, data):
-        run, _, _ = data
-        fine = intersect_run(run, dfa_from_regex("_* " + sorted(run.tags())[0], run.tags()))
-        for source in list(run.node_ids())[:5]:
-            assert fine.accepting_targets_packed(source) == fine.accepting_targets(
-                source
-            )
-
-
-# ---------------------------------------------------------------------------
-# The worker arena: sparse round-trips and lifecycle accounting
-# ---------------------------------------------------------------------------
-
-
-class TestArena:
-    @given(
-        st.integers(1, 80).flatmap(
-            lambda nodes: st.tuples(
-                st.just(nodes),
-                st.dictionaries(
-                    st.sampled_from(["tag:a", "tag:b", "macro:m", "allowed", "emit"]),
-                    st.lists(
-                        st.integers(0, (1 << nodes) - 1),
-                        min_size=nodes,
-                        max_size=nodes,
-                    ),
-                    max_size=4,
-                ),
-            )
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_tables_round_trip_through_shared_memory(self, data):
-        nodes, tables = data
-        layout, segment = create_arena(tables, nodes)
-        try:
-            attached = attach_tables(layout)
-        finally:
-            release_arena(segment)
-        assert attached == {key: list(rows) for key, rows in tables.items()}
-
-    def test_lifecycle_metrics_stay_balanced(self):
-        registry = get_registry()
-        created = registry.counter("exec_arena_segments_created_total", "")
-        released = registry.counter("exec_arena_segments_released_total", "")
-        active = registry.gauge("exec_arena_active_segments", "")
-        before = (created.value, released.value, active.value)
-        layout, segment = create_arena({"tag:x": [0, 1, 2]}, 3)
-        release_arena(segment)
-        assert created.value == before[0] + 1
-        assert released.value == before[1] + 1
-        assert active.value == before[2]
-
-    def test_release_is_idempotent_against_racing_unlink(self):
-        layout, segment = create_arena({"allowed": [7]}, 3)
-        segment.unlink()
-        release_arena(segment)  # must tolerate the already-unlinked file
-
-
-# ---------------------------------------------------------------------------
-# End to end: both kernels, both pool backends
-# ---------------------------------------------------------------------------
-
-
-class TestKernelExecutorEquivalence:
-    @pytest.mark.parametrize("kernel", ["packed", "sets"])
+class TestExecutorEquivalence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_frontier_matches_reference_on_both_kernels(
-        self, kernel, backend
-    ):
+    def test_parallel_frontier_matches_reference(self, backend):
         run = _RUNS["synthetic"][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -431,12 +276,11 @@ class TestKernelExecutorEquivalence:
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="frontier",
-            executor=ExecutorConfig(workers=2, backend=backend, kernel=kernel),
+            executor=ExecutorConfig(workers=2, backend=backend),
         )
         assert set(execute(physical)) == set(reference)
 
-    @pytest.mark.parametrize("kernel", ["packed", "sets"])
-    def test_join_strategy_matches_reference_on_both_kernels(self, kernel):
+    def test_join_strategy_matches_reference(self):
         run = _RUNS["paper"][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -449,6 +293,5 @@ class TestKernelExecutorEquivalence:
             None,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="join",
-            executor=ExecutorConfig(kernel=kernel),
         )
         assert set(execute(physical)) == set(reference)

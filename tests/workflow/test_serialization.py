@@ -1,5 +1,10 @@
 """Tests for JSON persistence of specifications and runs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets.myexperiment import bioaid_specification
@@ -66,3 +71,65 @@ class TestRunRoundTrip:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ReproError):
             run_from_dict({"kind": "specification"})
+
+
+_CROSS_SEED_PROBE = """
+import random
+
+from repro import ProvenanceQueryEngine, bioaid_specification
+from repro.baselines.product_bfs import product_bfs_pairwise
+from repro.datasets.queries import generate_ifq_along_path
+from repro.datasets.runs import generate_run
+from repro.workflow.serialization import (
+    run_from_dict,
+    run_to_dict,
+    specification_from_dict,
+    specification_to_dict,
+)
+
+spec = bioaid_specification()
+clone = specification_from_dict(specification_to_dict(spec))
+numbering = [c.modules for c in spec.production_graph.cycles]
+assert numbering == [c.modules for c in clone.production_graph.cycles], "cycles renumbered"
+
+run = generate_run(spec, 1500, seed=4)
+loaded = run_from_dict(run_to_dict(run))
+engine = ProvenanceQueryEngine(loaded.spec)
+nodes = list(loaded.node_ids())
+rng = random.Random(1)
+checked = 0
+for seed in range(2, 12):
+    query = generate_ifq_along_path(run, 2 + seed % 4, seed=seed)
+    if not engine.is_safe(query):
+        continue
+    for _ in range(100):
+        source, target = rng.choice(nodes), rng.choice(nodes)
+        expected = product_bfs_pairwise(loaded, source, target, query)
+        assert engine.pairwise(loaded, source, target, query) == expected, (
+            query, source, target
+        )
+        checked += 1
+assert checked, "no safe query was generated"
+print(checked)
+"""
+
+
+class TestCycleNumberingAcrossHashSeeds:
+    """Cycle indices are baked into labels, so a specification read back
+    from JSON must number its recursion cycles exactly like the one the run
+    was derived with, whatever the interpreter's hash seed."""
+
+    def test_bioaid_round_trip_decodes_under_hash_seed_23(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONHASHSEED="23")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _CROSS_SEED_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
