@@ -29,6 +29,18 @@ class TestCatalogShape:
         assert ci
         assert {scenario.id for scenario in ci} <= {scenario.id for scenario in CATALOG}
 
+    def test_g1_baseline_replays_the_packed_join_workload(self):
+        packed = get_scenario("kernel-packed-join")
+        g1 = get_scenario("g1-join-baseline")
+        for factor in ("grammar", "query_class", "run_edges", "seed", "suites"):
+            assert getattr(g1, factor) == getattr(packed, factor), factor
+        assert g1.param("query") == packed.param("query")
+        assert g1.param("evaluator") == "g1"
+        [invariant] = [inv for inv in INVARIANTS if inv.id == "join-beats-g1-5x"]
+        assert (invariant.fast, invariant.slow, invariant.factor) == (
+            "kernel-packed-join", "g1-join-baseline", 5.0,
+        )
+
     def test_synthetic_grammar_families_are_covered(self):
         families = {scenario.grammar.split(":")[0] for scenario in CATALOG}
         assert {"deep-recursion", "wide-alternation", "dense-wildcard"} <= families

@@ -79,6 +79,13 @@ class TestRunScenario:
         assert row["factors"]["executor"] == ExecutorFactors().as_dict()
 
 
+    def test_g1_baseline_answers_like_the_packed_join(self):
+        packed = run_scenario(get_scenario("kernel-packed-join"), "smoke", repetitions=1)
+        g1 = run_scenario(get_scenario("g1-join-baseline"), "smoke", repetitions=1)
+        assert g1.checksum == packed.checksum
+        assert not g1.checksum.startswith("0:")
+
+
 class TestRunSuite:
     def test_document_schema_and_table(self):
         document = run_suite([get_scenario(CHEAP_ID)], "smoke", suite="ci", repetitions=1)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.automata.boolean_matrix import BooleanMatrix
 from repro.automata.regex import parse_regex
 from repro.core.bitset import (
+    PackedAdjacency,
     PackedRelation,
     bit_indices,
     closure_mask,
@@ -28,6 +29,7 @@ from repro.core.query_index import build_query_index
 from repro.core.decomposition import plan_decomposition
 from repro.core.relations import (
     all_edge_relation,
+    backward_closure_nodes,
     compose,
     evaluate_regex_relation,
     evaluate_regex_relation_packed,
@@ -160,6 +162,82 @@ class TestRowSerialization:
 
 
 # ---------------------------------------------------------------------------
+# The memoized run view and its adjacency rows
+# ---------------------------------------------------------------------------
+
+
+class TestPackedRunView:
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_interner_masks_round_trip_in_run_order(self, data):
+        run, l1, _ = data
+        interner = run.packed.interner
+        chosen = list(run.node_ids())[:4] if l1 is None else l1
+        known = set(chosen) & set(run.node_ids())
+        assert interner.nodes_of(interner.mask_of(chosen)) == [
+            node for node in run.node_ids() if node in known
+        ]
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_forward_any_is_the_union_of_the_tag_rows(self, data):
+        run, _, _ = data
+        view = run.packed
+        union = [0] * len(view.interner)
+        for adjacency in view.by_tag.values():
+            union = [mine | theirs for mine, theirs in zip(union, adjacency.rows)]
+        assert union == view.forward_any.rows
+        assert set(view.by_tag) == set(run.tags())
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_backward_rows_transpose_the_forward_rows(self, data):
+        run, _, _ = data
+        view = run.packed
+        size = len(view.interner)
+        transposed = [0] * size
+        for source, row in enumerate(view.forward_any.rows):
+            for target in bit_indices(row):
+                transposed[target] |= 1 << source
+        assert transposed == view.backward_any.rows
+
+    @given(
+        st.integers(1, 90).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(
+                    st.integers(0, (1 << size) - 1), min_size=size, max_size=size
+                ),
+                st.integers(0, (1 << size) - 1),
+            )
+        )
+    )
+    @settings(**_SETTINGS)
+    def test_propagate_is_the_union_of_the_selected_rows(self, data):
+        """Wide masks take the numpy mirror when numpy is importable, narrow
+        ones the big-int loop; both must return the plain row union."""
+        size, rows, mask = data
+        expected = 0
+        for position in bit_indices(mask):
+            expected |= rows[position]
+        assert PackedAdjacency(size, rows).propagate(mask) == expected
+
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_closure_mask_on_backward_rows_matches_reverse_walk(self, data):
+        run, _, l2 = data
+        seeds = list(run.node_ids())[-3:] if l2 is None else l2
+        reached = {seed for seed in seeds if seed in run.predecessors}
+        stack = list(reached)
+        while stack:
+            for source, _ in run.predecessors[stack.pop()]:
+                if source not in reached:
+                    reached.add(source)
+                    stack.append(source)
+        assert backward_closure_nodes(run, seeds) == frozenset(reached)
+
+
+# ---------------------------------------------------------------------------
 # Relation algebra: packed rows vs per-element sets
 # ---------------------------------------------------------------------------
 
@@ -241,6 +319,20 @@ class TestRelationAlgebra:
             run, in_run
         )
 
+    @given(run_and_lists())
+    @settings(**_SETTINGS)
+    def test_restrict_and_union_match_set_algebra(self, data):
+        run, l1, l2 = data
+        view = run.packed
+        tags = sorted(run.tags())
+        left = tag_relation(run, tags[0])
+        right = tag_relation(run, tags[-1])
+        packed_left = PackedRelation.from_pairs(view.interner, left)
+        packed_right = PackedRelation.from_pairs(view.interner, right)
+        assert packed_left.union(packed_right).to_pairs(view.interner) == left | right
+        restricted = packed_left.restrict(_mask_of(run, l1), _mask_of(run, l2))
+        assert restricted.to_pairs(view.interner) == restrict(left, l1, l2)
+
     @given(run_query_lists())
     @settings(**_SETTINGS)
     def test_regex_evaluation_matches_set_reference(self, data):
@@ -258,8 +350,9 @@ class TestRelationAlgebra:
 
 
 class TestExecutorEquivalence:
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_frontier_matches_reference(self, backend):
+    def test_parallel_frontier_matches_reference(self, backend, direction):
         run = _RUNS["synthetic"][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
@@ -276,12 +369,14 @@ class TestExecutorEquivalence:
             l2,
             indexes=lambda node: build_query_index(run.spec, node),
             strategy="frontier",
+            direction=direction,
             executor=ExecutorConfig(workers=2, backend=backend),
         )
         assert set(execute(physical)) == set(reference)
 
-    def test_join_strategy_matches_reference(self):
-        run = _RUNS["paper"][0]
+    @pytest.mark.parametrize("spec_name", sorted(_SPECS))
+    def test_join_strategy_matches_reference(self, spec_name):
+        run = _RUNS[spec_name][0]
         tags = sorted(run.tags())
         query = f"_* {tags[0]} _*"
         reference = evaluate_regex_relation(run, parse_regex(query))

@@ -7,6 +7,8 @@ returns exactly the pair set of the join reference on Hypothesis-generated
 node lists.  One slower non-Hypothesis test covers the process backend.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -306,6 +308,15 @@ class TestOrderedMerge:
         seed_rank = {seed: rank for rank, seed in enumerate(physical.root.seeds)}
         ranks = [seed_rank[source] for source in streamed]
         assert ranks == sorted(ranks), "ordered merge must follow seed order"
+
+
+class TestExecutorConfigSurface:
+    def test_config_carries_only_the_tuning_knobs(self):
+        assert [field.name for field in dataclasses.fields(ExecutorConfig)] == [
+            "direction", "workers", "ordered", "backend", "budget",
+        ]
+        with pytest.raises(TypeError):
+            ExecutorConfig(kernel="packed")
 
 
 class TestPhysicalPlanReporting:

@@ -200,6 +200,19 @@ class TestRunRegistry:
         assert loaded.nodes == run.nodes  # labels included: no re-labeling
         assert loaded.edges == run.edges
 
+    def test_run_written_under_format_2_is_not_decoded(self, tmp_path, spec, run):
+        """Format 2 labels refer to hash-seed-dependent cycle numbers, so a
+        run persisted under it is a counted miss, never a decode."""
+        store = IndexStore(tmp_path / "store")
+        store.save_run("r1", run)
+        path = store.run_path("r1")
+        envelope = json.loads(path.read_text())
+        envelope["format"] = 2
+        path.write_text(json.dumps(envelope))
+        before = store.counters.errors
+        assert store.load_run("r1") is None
+        assert store.counters.errors == before + 1
+
     def test_awkward_run_ids_are_quoted(self, tmp_path, spec, run):
         store = IndexStore(tmp_path / "store")
         store.save_run("team/a run", run)

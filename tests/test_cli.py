@@ -468,6 +468,10 @@ class TestDirectionAndWorkersFlags:
         with pytest.raises(SystemExit):
             main(["query", str(run_path), "_* a _*", "--direction", "sideways"])
 
+    def test_kernel_flag_no_longer_exists(self, tmp_path, run_path):
+        with pytest.raises(SystemExit):
+            main(["query", str(run_path), "_* a _*", "--kernel", "packed"])
+
 
 class TestStoreGcOrphans:
     def test_gc_orphans_drops_unregistered_grammars(self, tmp_path, run_path, capsys):
